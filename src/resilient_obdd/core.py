@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 TERM0 = 0
 TERM1 = 1
@@ -168,6 +169,8 @@ class UniqueTable:
     (lo, hi) lives in bucket ``fnv1a_pair(lo, hi) % bucket_count`` of the
     subtable of its own level, exactly once.  Recovery code walks buckets
     looking for a node's id; construction code walks them comparing keys.
+    A bucket's list is created by its first insert, so a table costs memory
+    for the buckets in use, not for n times ``bucket_count``.
     """
 
     def __init__(self, n: int, bucket_count: int = 256):
@@ -175,20 +178,18 @@ class UniqueTable:
             raise ValueError("bucket_count must be positive")
         self.n = n
         self.bucket_count = bucket_count
-        self._levels: list[list[list[int]]] = [
-            [[] for _ in range(bucket_count)] for _ in range(n)
-        ]
+        self._buckets: dict[tuple[int, int], list[int]] = {}
 
     def bucket_index(self, lo: int, hi: int) -> int:
         return fnv1a_pair(lo, hi) % self.bucket_count
 
-    def bucket(self, index: int, lo: int, hi: int) -> list[int]:
-        """The collision list the key (lo, hi) selects at the given level."""
-        return self._levels[index][self.bucket_index(lo, hi)]
+    def _slot(self, index: int, lo: int, hi: int) -> tuple[int, int]:
+        """(level, bucket index) of the collision list the key (lo, hi) selects."""
+        return index, self.bucket_index(lo, hi)
 
     def find(self, store: DiagramStore, index: int, lo: int, hi: int) -> int | None:
         """Key-equality lookup for hash-consing (walks one bucket)."""
-        for u in self.bucket(index, lo, hi):
+        for u in self._buckets.get(self._slot(index, lo, hi), ()):
             node = store.node(u)
             if node.lo == lo and node.hi == hi:
                 return u
@@ -196,11 +197,11 @@ class UniqueTable:
 
     def insert(self, store: DiagramStore, index: int, u: int):
         node = store.node(u)
-        self.bucket(index, node.lo, node.hi).append(u)
+        self._buckets.setdefault(self._slot(index, node.lo, node.hi), []).append(u)
 
     def remove(self, store: DiagramStore, index: int, u: int):
         node = store.node(u)
-        self.bucket(index, node.lo, node.hi).remove(u)
+        self._buckets[self._slot(index, node.lo, node.hi)].remove(u)
 
     def contains_id(self, index: int, lo: int, hi: int, u: int) -> bool:
         """Identity probe: does the bucket for (lo, hi) at this level hold u?
@@ -209,7 +210,7 @@ class UniqueTable:
         It deliberately compares ids, not keys: a probe with a wrong key can
         still find u if that key collides into u's bucket.
         """
-        return u in self._levels[index][self.bucket_index(lo, hi)]
+        return u in self._buckets.get(self._slot(index, lo, hi), ())
 
 
 def mk_node(store: DiagramStore, table: UniqueTable, index: int, lo: int, hi: int) -> int:
@@ -236,6 +237,66 @@ def new_consed_store(n: int, mode: Mode = Mode.ROBDD, bucket_count: int = 256):
     table = UniqueTable(n, bucket_count)
     store.table = table
     return store, table
+
+
+# ---------------------------------------------------------------------------
+# the one rebuild walk
+
+
+def rebuild(root, leaf, split, join, memo=None):
+    """Memoized post-order rebuild over keys, with an explicit stack.
+
+    Every transform in the package is a function of this shape: a key (a
+    node id, an id pair, a level and cube set) either is a leaf with a known
+    result or splits into a 0-side key and a 1-side key whose results are
+    joined.  For each key visited: ``leaf(key)`` gives its result or None;
+    then ``memo.get(key)`` is tried; on a miss ``split(key)`` gives
+    ``(label, key0, key1)``, the 0-side is finished before the 1-side is
+    looked at, ``join(label, result0, result1)`` gives the result and
+    ``memo[key] = result`` stores it.  That is the order a recursive
+    function would take, so arena ids, memo counters and seeded fault draws
+    are what such a function gives.  Depth is bounded by memory, not by the
+    interpreter's recursion limit.  Results must not be None.  Internal to
+    the package.
+
+    A key that is its own descendant (an edge fault can point a node back at
+    an ancestor) would grow the stack without end; each time the depth
+    doubles past 1024 the stack is checked for a repeated key, and one
+    raises :class:`ContractError`.
+    """
+    stack: list[list] = []  # [key, label, key1, result0 or None]
+    check_depth = 1024
+    key = root
+    while True:
+        result = leaf(key)
+        if result is None and memo is not None:
+            result = memo.get(key)
+        if result is None:
+            label, key0, key1 = split(key)
+            stack.append([key, label, key1, None])
+            if len(stack) > check_depth:
+                if len({frame[0] for frame in stack}) < len(stack):
+                    raise ContractError(f"key {key!r} is its own descendant")
+                check_depth *= 2
+            key = key0
+            continue
+        while stack:
+            frame = stack[-1]
+            if frame[3] is None:  # the 0-side just finished: start the 1-side
+                frame[3] = result
+                key = frame[2]
+                break
+            stack.pop()
+            result = join(frame[1], frame[3], result)
+            if memo is not None:
+                memo[frame[0]] = result
+        else:
+            return result
+
+
+def terminal_leaf(u: int) -> int | None:
+    """Leaf rule for walks over node ids: terminals map to themselves."""
+    return u if u < _FIRST_ID else None
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +339,15 @@ def from_truth_table(n: int, bits, mode: Mode = Mode.ROBDD) -> Diagram:
         raise ValueError(f"expected {1 << n} values, got {len(bits)}")
     store, table = new_consed_store(n, mode)
 
-    def build(i: int, base: int) -> int:
-        if i == n:
-            return terminal(bits[base])
-        half = 1 << (n - 1 - i)
-        return mk_node(store, table, i, build(i + 1, base), build(i + 1, base + half))
+    def leaf(key):
+        i, base = key
+        return terminal(bits[base]) if i == n else None
 
-    return Diagram(store, build(0, 0))
+    def split(key):
+        i, base = key
+        return i, (i + 1, base), (i + 1, base + (1 << (n - 1 - i)))
+
+    return Diagram(store, rebuild((0, 0), leaf, split, partial(mk_node, store, table)))
 
 
 def _cube_ok(cube: str, n: int, what: str):
@@ -317,27 +380,26 @@ def from_cubes(n: int, onset, dcset=(), dc_value: int = 0,
     if dc_value not in (0, 1):
         raise ValueError("dc_value must be 0 or 1")
     store, table = new_consed_store(n, mode)
-    cache: dict[tuple, int] = {}
 
-    def build(i: int, on: tuple[int, ...], dc: tuple[int, ...]) -> int:
-        if i == n:
-            if on:
-                return TERM1
-            return terminal(dc_value) if dc else TERM0
-        key = (i, on, dc)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        children = []
-        for bit in ("0", "1"):
-            on2 = tuple(k for k in on if onset[k][i] != ("1" if bit == "0" else "0"))
-            dc2 = tuple(k for k in dc if dcset[k][i] != ("1" if bit == "0" else "0"))
-            children.append(build(i + 1, on2, dc2))
-        r = mk_node(store, table, i, children[0], children[1])
-        cache[key] = r
-        return r
+    def leaf(key):
+        i, on, dc = key
+        if i < n:
+            return None
+        if on:
+            return TERM1
+        return terminal(dc_value) if dc else TERM0
 
-    root = build(0, tuple(range(len(onset))), tuple(range(len(dcset))))
+    def split(key):
+        # a cube survives the branch x_i = b unless it requires x_i = not b
+        i, on, dc = key
+        return (i,
+                (i + 1, tuple(k for k in on if onset[k][i] != "1"),
+                 tuple(k for k in dc if dcset[k][i] != "1")),
+                (i + 1, tuple(k for k in on if onset[k][i] != "0"),
+                 tuple(k for k in dc if dcset[k][i] != "0")))
+
+    root = rebuild((0, tuple(range(len(onset))), tuple(range(len(dcset)))),
+                   leaf, split, partial(mk_node, store, table), {})
     return Diagram(store, root)
 
 
@@ -348,20 +410,9 @@ def from_cubes(n: int, onset, dcset=(), dc_value: int = 0,
 def reduce_robdd(d: Diagram) -> Diagram:
     """Rebuild into a fresh fully reduced store; canonical for the function."""
     store, table = new_consed_store(d.n, Mode.ROBDD)
-    memo: dict[int, int] = {}
-
-    def walk(u: int) -> int:
-        if is_terminal(u):
-            return u
-        hit = memo.get(u)
-        if hit is not None:
-            return hit
-        node = d.store.node(u)
-        r = mk_node(store, table, node.index, walk(node.lo), walk(node.hi))
-        memo[u] = r
-        return r
-
-    return Diagram(store, walk(d.root))
+    root = rebuild(d.root, terminal_leaf, lambda u: d.store.node(u).triple(),
+                   partial(mk_node, store, table), {})
+    return Diagram(store, root)
 
 
 def restrict(d: Diagram, var: int, value: int) -> Diagram:
@@ -371,42 +422,29 @@ def restrict(d: Diagram, var: int, value: int) -> Diagram:
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
     store, table = new_consed_store(d.n, Mode.ROBDD)
-    memo: dict[int, int] = {}
 
-    def walk(u: int) -> int:
-        if is_terminal(u):
-            return u
-        hit = memo.get(u)
-        if hit is not None:
-            return hit
+    def split(u):
         node = d.store.node(u)
         if node.index == var:
-            r = walk(node.hi if value else node.lo)
-        else:
-            r = mk_node(store, table, node.index, walk(node.lo), walk(node.hi))
-        memo[u] = r
-        return r
+            kept = node.hi if value else node.lo
+            return None, kept, kept  # the 1-side is a memo hit or a terminal
+        return node.triple()
 
-    return Diagram(store, walk(d.root))
+    def join(index, lo, hi):
+        return lo if index is None else mk_node(store, table, index, lo, hi)
+
+    return Diagram(store, rebuild(d.root, terminal_leaf, split, join, {}))
 
 
 def negate(d: Diagram) -> Diagram:
     """Structure-preserving copy with the two terminals swapped."""
     store = DiagramStore(d.n, d.store.mode)
-    memo: dict[int, int] = {}
 
-    def walk(u: int) -> int:
-        if is_terminal(u):
-            return TERM1 if u == TERM0 else TERM0
-        hit = memo.get(u)
-        if hit is not None:
-            return hit
-        node = d.store.node(u)
-        r = store.add_raw(node.index, walk(node.lo), walk(node.hi))
-        memo[u] = r
-        return r
+    def leaf(u):
+        return (TERM1 if u == TERM0 else TERM0) if is_terminal(u) else None
 
-    return Diagram(store, walk(d.root))
+    root = rebuild(d.root, leaf, lambda u: d.store.node(u).triple(), store.add_raw, {})
+    return Diagram(store, root)
 
 
 # ---------------------------------------------------------------------------
@@ -417,21 +455,20 @@ def dfs_preorder(d: Diagram, include_terminals: bool = True) -> list[int]:
     """Depth-first preorder from the root, 0-edge before 1-edge, each id once."""
     order: list[int] = []
     seen: set[int] = set()
-
-    def walk(u: int):
+    stack = [d.root]
+    while stack:
+        u = stack.pop()
         if u in seen:
-            return
+            continue
         seen.add(u)
         if is_terminal(u):
             if include_terminals:
                 order.append(u)
-            return
+            continue
         order.append(u)
         node = d.store.node(u)
-        walk(node.lo)
-        walk(node.hi)
-
-    walk(d.root)
+        stack.append(node.hi)  # popped after the whole 0-side
+        stack.append(node.lo)
     return order
 
 
@@ -441,17 +478,26 @@ def count_nodes(d: Diagram) -> int:
 
 
 def isomorphic(a: Diagram, b: Diagram) -> bool:
-    """Structural equality up to arena numbering (simultaneous DFS)."""
+    """Structural equality up to arena numbering (simultaneous DFS).
+
+    Walks its own stack of id pairs rather than :func:`rebuild`, because it
+    stops at the first mismatch.
+    """
     if a.n != b.n:
         return False
     fwd: dict[int, int] = {}
     bwd: dict[int, int] = {}
-
-    def walk(u: int, v: int) -> bool:
+    stack = [(a.root, b.root)]
+    while stack:
+        u, v = stack.pop()
         if is_terminal(u) or is_terminal(v):
-            return u == v
+            if u != v:
+                return False
+            continue
         if u in fwd:
-            return fwd[u] == v
+            if fwd[u] != v:
+                return False
+            continue
         if v in bwd:
             return False
         na, nb = a.store.node(u), b.store.node(v)
@@ -459,9 +505,9 @@ def isomorphic(a: Diagram, b: Diagram) -> bool:
             return False
         fwd[u] = v
         bwd[v] = u
-        return walk(na.lo, nb.lo) and walk(na.hi, nb.hi)
-
-    return walk(a.root, b.root)
+        stack.append((na.hi, nb.hi))
+        stack.append((na.lo, nb.lo))
+    return True
 
 
 def export_dot(d: Diagram, name: str = "bdd") -> str:

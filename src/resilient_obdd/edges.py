@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import BddError, Diagram, UniqueTable, dfs_preorder, is_terminal
+from .core import BddError, Diagram, UniqueTable, dfs_preorder, is_terminal, rebuild
 from .faults import HI, LO, FaultOverlay, build_unique_table, inject
 
 
@@ -65,29 +65,24 @@ def build_node_vector(d: Diagram) -> NodeVector:
     """Linearize a healthy diagram; keep as trusted side data.
 
     Rebuild after any structural change, or the positional bounds are void.
+    Subgraph sizes come from one bottom-up pass that gives every node its
+    reach set as a bitmask over preorder positions, which takes up to
+    len(order) bits per node.
     """
     order = dfs_preorder(d, include_terminals=True)
     position = {u: p for p, u in enumerate(order)}
     level = {u: d.store.level(u) for u in order}
-    sizes: dict[int, int] = {}
 
-    def size(u: int) -> int:
-        if u not in sizes:
-            reach = set()
-            stack = [u]
-            while stack:
-                v = stack.pop()
-                if v in reach:
-                    continue
-                reach.add(v)
-                if not is_terminal(v):
-                    node = d.store.node(v)
-                    stack.append(node.lo)
-                    stack.append(node.hi)
-            sizes[u] = len(reach)
-        return sizes[u]
+    def leaf(u):
+        return 1 << position[u] if is_terminal(u) else None
 
-    subgraph = {u: size(u) for u in order}
+    def split(u):
+        node = d.store.node(u)
+        return u, node.lo, node.hi
+
+    reach: dict[int, int] = {}
+    rebuild(d.root, leaf, split, lambda u, lo, hi: 1 << position[u] | lo | hi, reach)
+    subgraph = {u: reach[u].bit_count() if u in reach else 1 for u in order}
     return NodeVector(order, position, level, subgraph)
 
 

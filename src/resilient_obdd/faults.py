@@ -26,7 +26,7 @@ from the local geometry around the touched nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Diagram, UniqueTable, dfs_preorder, is_terminal
 

@@ -31,7 +31,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import ContractError, Diagram, DiagramStore, Mode, dfs_preorder, is_terminal
+from .core import (
+    ContractError,
+    Diagram,
+    DiagramStore,
+    Mode,
+    dfs_preorder,
+    is_terminal,
+    rebuild,
+    terminal_leaf,
+)
 
 
 def is_redundant(store: DiagramStore, u: int) -> bool:
@@ -145,24 +154,15 @@ def ir_reduce(d: Diagram) -> Diagram:
     pair = find_mergeable_pair(d)
     if pair is not None:
         raise ContractError(f"input has mergeable nodes {pair[0]} and {pair[1]}")
-    plan = find_chains(d)
+    collapse = find_chains(d).collapse  # survivors are never themselves removed
     out = DiagramStore(d.n, Mode.KEEP_REDUNDANT)
-    memo: dict[int, int] = {}
 
-    def walk(u: int) -> int:
-        if u in plan.collapse:
-            u = plan.collapse[u]  # survivors are never themselves removed
-        if is_terminal(u):
-            return u
-        hit = memo.get(u)
-        if hit is not None:
-            return hit
+    def split(u):
         node = d.store.node(u)
-        r = out.add_raw(node.index, walk(node.lo), walk(node.hi))
-        memo[u] = r
-        return r
+        return node.index, collapse.get(node.lo, node.lo), collapse.get(node.hi, node.hi)
 
-    return Diagram(out, walk(d.root))
+    root = rebuild(collapse.get(d.root, d.root), terminal_leaf, split, out.add_raw, {})
+    return Diagram(out, root)
 
 
 def is_index_resilient(d: Diagram) -> bool:

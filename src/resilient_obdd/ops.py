@@ -1,11 +1,11 @@
 """Binary boolean operations over diagrams: memoized Apply and equivalence.
 
-The recursion pairs one node from each operand.  The node (or nodes) testing
-the smaller variable index advances to its children while the other side
-stands still; a terminal counts as testing a pseudo-variable below everything,
-so it always stands still until both sides are terminal.  Results are cached
-in a :class:`MemoTable` keyed by the id pair, which bounds the number of
-distinct recursive calls by the product of the operand sizes.
+Apply walks pairs of nodes, one from each operand.  The node (or nodes)
+testing the smaller variable index advances to its children while the other
+side stands still; a terminal counts as testing a pseudo-variable below
+everything, so it always stands still until both sides are terminal.  Results
+are cached in a :class:`MemoTable` keyed by the id pair, which bounds the
+number of distinct pairs expanded by the product of the operand sizes.
 
 This is the standard table-backed variant: results are hash-consed into a
 fresh fully reduced store.  The table-free, fault-tolerant variant lives in
@@ -14,6 +14,8 @@ fresh fully reduced store.  The table-free, fault-tolerant variant lives in
 
 from __future__ import annotations
 
+from functools import partial
+
 from .core import (
     Diagram,
     Mode,
@@ -21,6 +23,7 @@ from .core import (
     isomorphic,
     mk_node,
     new_consed_store,
+    rebuild,
     reduce_robdd,
 )
 
@@ -55,22 +58,14 @@ OPS = {op.name: op for op in (AND, OR, XOR, NAND, NOR, XNOR, IMPLIES)}
 class MemoTable:
     """Result cache keyed by (left id, right id).
 
-    Backed by a dict unless ``dense_shape`` asks for a 2-D array, which only
-    pays off when both operands are small and most pairs occur.  Entries can
-    be flagged as corrupted (the fault model assumes perfect detection); a
-    flagged entry behaves as a miss and the next store clears the flag.
-    ``fault_rng``/``fault_rate`` let campaigns corrupt entries as they are
-    inserted, which models faults striking mid-run while keeping runs
-    reproducible.
+    Entries can be flagged as corrupted (the fault model assumes perfect
+    detection); a flagged entry behaves as a miss and the next store clears
+    the flag.  ``fault_rng``/``fault_rate`` let campaigns corrupt entries as
+    they are inserted, which models faults striking mid-run while keeping
+    runs reproducible.
     """
 
-    def __init__(self, capacity_hint: int | None = None, dense_shape=None,
-                 fault_rng=None, fault_rate: float = 0.0):
-        self.capacity_hint = capacity_hint
-        self._dense = None
-        if dense_shape is not None:
-            rows, cols = dense_shape
-            self._dense = [[None] * cols for _ in range(rows)]
+    def __init__(self, fault_rng=None, fault_rate: float = 0.0):
         self._map: dict[tuple[int, int], int] = {}
         self._corrupt: set[tuple[int, int]] = set()
         self._fault_rng = fault_rng
@@ -87,10 +82,7 @@ class MemoTable:
             self.lost_hits += 1
             self.misses += 1
             return None
-        if self._dense is not None:
-            value = self._dense[key[0]][key[1]]
-        else:
-            value = self._map.get(key)
+        value = self._map.get(key)
         if value is None:
             self.misses += 1
         else:
@@ -98,15 +90,14 @@ class MemoTable:
         return value
 
     def put(self, key, value: int):
-        if self._dense is not None:
-            self._dense[key[0]][key[1]] = value
-        else:
-            self._map[key] = value
+        self._map[key] = value
         self._corrupt.discard(key)
         self.inserted += 1
         if self._fault_rng is not None and self._fault_rate > 0.0:
             if self._fault_rng.random() < self._fault_rate:
                 self.mark_corrupt(key)
+
+    __setitem__ = put  # lets :func:`~resilient_obdd.core.rebuild` store into it
 
     def mark_corrupt(self, key):
         self._corrupt.add(key)
@@ -116,46 +107,47 @@ class MemoTable:
         return key in self._corrupt
 
 
-def apply(op: BoolOp, f: Diagram, g: Diagram, memo: MemoTable | None = None,
-          memoize: bool = True) -> Diagram:
+def terminal_pair(op: BoolOp, key) -> int | None:
+    """Leaf rule for walks over id pairs: two terminals combine under op."""
+    u, v = key
+    return op(u, v) if is_terminal(u) and is_terminal(v) else None
+
+
+def split_pair(f: Diagram, g: Diagram, key, lu: int, lv: int):
+    """``(level, 0-side pair, 1-side pair)`` of an id pair whose operands sit
+    on levels lu and lv: the side on the smaller level advances."""
+    u, v = key
+    i = min(lu, lv)
+    if lu == i:
+        nu = f.store.node(u)
+        u0, u1 = nu.lo, nu.hi
+    else:
+        u0 = u1 = u
+    if lv == i:
+        nv = g.store.node(v)
+        v0, v1 = nv.lo, nv.hi
+    else:
+        v0 = v1 = v
+    return i, (u0, v0), (u1, v1)
+
+
+def apply(op: BoolOp, f: Diagram, g: Diagram, memo: MemoTable | None = None) -> Diagram:
     """Combine two diagrams under a binary operation; result fully reduced.
 
-    Passing an explicit ``memo`` exposes the cache counters to the caller;
-    ``memoize=False`` disables caching (exponential, for small cross-checks).
+    Passing an explicit ``memo`` exposes the cache counters to the caller.
     """
     if f.n != g.n:
         raise ValueError(f"operand variable counts differ: {f.n} != {g.n}")
-    n = f.n
-    store, table = new_consed_store(n, Mode.ROBDD)
-    if memo is None and memoize:
+    store, table = new_consed_store(f.n, Mode.ROBDD)
+    if memo is None:
         memo = MemoTable()
-    sf, sg = f.store, g.store
 
-    def rec(u: int, v: int) -> int:
-        if is_terminal(u) and is_terminal(v):
-            return op(u, v)
-        if memo is not None:
-            cached = memo.get((u, v))
-            if cached is not None:
-                return cached
-        lu, lv = sf.level(u), sg.level(v)
-        i = min(lu, lv)
-        if lu == i:
-            nu = sf.node(u)
-            u0, u1 = nu.lo, nu.hi
-        else:
-            u0 = u1 = u
-        if lv == i:
-            nv = sg.node(v)
-            v0, v1 = nv.lo, nv.hi
-        else:
-            v0 = v1 = v
-        r = mk_node(store, table, i, rec(u0, v0), rec(u1, v1))
-        if memo is not None:
-            memo.put((u, v), r)
-        return r
+    def split(key):
+        return split_pair(f, g, key, f.store.level(key[0]), g.store.level(key[1]))
 
-    return Diagram(store, rec(f.root, g.root))
+    root = rebuild((f.root, g.root), partial(terminal_pair, op), split,
+                   partial(mk_node, store, table), memo)
+    return Diagram(store, root)
 
 
 def equivalent(f: Diagram, g: Diagram) -> bool:

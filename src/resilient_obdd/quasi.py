@@ -15,13 +15,18 @@ no hashing anywhere).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .core import (
     Diagram,
     DiagramStore,
     Mode,
+    dfs_preorder,
     is_terminal,
     mk_node,
     new_consed_store,
+    rebuild,
+    terminal_leaf,
 )
 
 
@@ -29,26 +34,21 @@ def build_qr(d: Diagram) -> Diagram:
     """Canonical quasi-reduced form of the function, via hash-consing."""
     n = d.n
     store, table = new_consed_store(n, Mode.KEEP_REDUNDANT)
-    cache: dict[tuple[int, int], int] = {}
 
-    def build(u: int, i: int) -> int:
-        # the function rooted at u, materialized from level i downward
-        if i == n:
-            return u
-        key = (u, i)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    def leaf(key):
+        u, i = key
+        return u if i == n else None
+
+    def split(key):
+        # key (u, i): the function rooted at u, materialized from level i down
+        u, i = key
         if d.store.level(u) == i:
             node = d.store.node(u)
-            r = mk_node(store, table, i, build(node.lo, i + 1), build(node.hi, i + 1))
-        else:
-            child = build(u, i + 1)
-            r = mk_node(store, table, i, child, child)
-        cache[key] = r
-        return r
+            return i, (node.lo, i + 1), (node.hi, i + 1)
+        return i, (u, i + 1), (u, i + 1)  # the 1-side is a memo hit or a leaf
 
-    return Diagram(store, build(d.root, 0))
+    root = rebuild((d.root, 0), leaf, split, partial(mk_node, store, table), {})
+    return Diagram(store, root)
 
 
 def pad_chains(d: Diagram) -> Diagram:
@@ -57,31 +57,22 @@ def pad_chains(d: Diagram) -> Diagram:
     Edges into terminals and a root below level 0 are padded too, so
     afterwards every root-to-terminal path has length n.  No unique table is
     consulted: duplicates introduced by separate chains stay distinct until
-    :func:`merge_quadratic` runs.
+    :func:`merge_quadratic` runs.  Both edges of a node are padded once
+    both of its children are built.
     """
     out = DiagramStore(d.n, Mode.KEEP_REDUNDANT)
-    memo: dict[int, int] = {}
 
-    def pad(child: int, child_level: int, parent_level: int) -> int:
-        for level in range(child_level - 1, parent_level, -1):
+    def pad(child: int, parent_level: int) -> int:
+        # copies keep their original's level, so out.level is the child's
+        for level in range(out.level(child) - 1, parent_level, -1):
             child = out.add_raw(level, child, child)
         return child
 
-    def walk(u: int) -> int:
-        if is_terminal(u):
-            return u
-        hit = memo.get(u)
-        if hit is not None:
-            return hit
-        node = d.store.node(u)
-        lo = pad(walk(node.lo), d.store.level(node.lo), node.index)
-        hi = pad(walk(node.hi), d.store.level(node.hi), node.index)
-        r = out.add_raw(node.index, lo, hi)
-        memo[u] = r
-        return r
+    def join(index, lo, hi):
+        return out.add_raw(index, pad(lo, index), pad(hi, index))
 
-    root = pad(walk(d.root), d.store.level(d.root), -1)
-    return Diagram(out, root)
+    root = rebuild(d.root, terminal_leaf, lambda u: d.store.node(u).triple(), join, {})
+    return Diagram(out, pad(root, -1))
 
 
 def merge_quadratic(d: Diagram) -> Diagram:
@@ -96,19 +87,9 @@ def merge_quadratic(d: Diagram) -> Diagram:
     n = d.n
     store = d.store
     arena_end = store.next_id()
-    visited = [False] * arena_end
     by_level: list[list[int]] = [[] for _ in range(n)]
-
-    stack = [d.root]
-    while stack:
-        u = stack.pop()
-        if is_terminal(u) or visited[u]:
-            continue
-        visited[u] = True
-        node = store.node(u)
-        by_level[node.index].append(u)
-        stack.append(node.lo)
-        stack.append(node.hi)
+    for u in dfs_preorder(d, include_terminals=False):
+        by_level[store.node(u).index].append(u)
 
     out = DiagramStore(n, Mode.KEEP_REDUNDANT)
     remap = list(range(arena_end))

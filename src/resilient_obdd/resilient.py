@@ -1,10 +1,10 @@
 """Operations that keep working while variable indices are corrupted.
 
 On an index-resilient diagram a node's true index is min(child levels) - 1,
-so a corrupted index is repaired by looking down, recursively repairing
-corrupted children first: :func:`index_reconstruct`.  The recursion only
-descends into children that are themselves flagged, so repairing one node
-costs one call per corrupted node it can reach.
+so a corrupted index is repaired by looking down, repairing corrupted children
+first: :func:`index_reconstruct`.  The walk only descends into children that
+are themselves flagged, so repairing one node costs one repair per corrupted
+node it can reach.
 
 :func:`resilient_apply` is the table-free Apply variant: it never touches a
 unique table (only its result memo, whose entries are themselves allowed to
@@ -17,44 +17,39 @@ quadratically, then remove removable chains.
 
 from __future__ import annotations
 
-from .core import Diagram, DiagramStore, Mode, dfs_preorder, is_terminal
+from functools import partial
+
+from .core import Diagram, DiagramStore, Mode, dfs_preorder, is_terminal, rebuild
 from .faults import INDEX, FaultOverlay
 from .indexres import ir_reduce
-from .ops import BoolOp, MemoTable
+from .ops import BoolOp, MemoTable, split_pair, terminal_pair
 from .quasi import merge_quadratic, pad_chains
 
 
 def index_reconstruct(d: Diagram, overlay: FaultOverlay, u: int) -> int:
     """Repair u's corrupted index from its children; returns the true index.
 
-    Both children terminal: the node sits on the last level, n - 1.  One
-    child terminal: on an index-resilient diagram the other child is one
-    level down, so repair it if needed and subtract one.  Otherwise repair
-    whichever children are corrupted and take min(child indices) - 1.  The
-    repaired value is written back and the flag cleared.
+    On an index-resilient diagram one child sits one level down, so the
+    index is min(child levels) - 1, with terminals on level n.  Corrupted
+    children are repaired first, each once; healthy ones are read as they
+    are.  Each repaired value is written back and its flag cleared.
     """
-    overlay.reconstruct_calls += 1
     store = d.store
-    node = store.node(u)
-    lo, hi = node.lo, node.hi
-    if is_terminal(lo) and is_terminal(hi):
-        index = store.n - 1
-    elif is_terminal(lo):
-        if overlay.is_corrupt(hi, INDEX):
-            index_reconstruct(d, overlay, hi)
-        index = store.node(hi).index - 1
-    elif is_terminal(hi):
-        if overlay.is_corrupt(lo, INDEX):
-            index_reconstruct(d, overlay, lo)
-        index = store.node(lo).index - 1
-    else:
-        if overlay.is_corrupt(lo, INDEX):
-            index_reconstruct(d, overlay, lo)
-        if overlay.is_corrupt(hi, INDEX):
-            index_reconstruct(d, overlay, hi)
-        index = min(store.node(lo).index, store.node(hi).index) - 1
-    overlay.repair(u, INDEX, index)
-    return index
+
+    def leaf(v):
+        return None if v == u or overlay.is_corrupt(v, INDEX) else store.level(v)
+
+    def join(v, lo_level, hi_level):
+        overlay.reconstruct_calls += 1
+        index = min(lo_level, hi_level) - 1
+        overlay.repair(v, INDEX, index)
+        return index
+
+    def split(v):
+        node = store.node(v)
+        return v, node.lo, node.hi
+
+    return rebuild(u, leaf, split, join)
 
 
 def _overlay_map(overlays) -> dict[int, FaultOverlay]:
@@ -72,7 +67,7 @@ def resilient_apply(op: BoolOp, f: Diagram, g: Diagram, overlays=None,
     ``overlays`` may be one overlay or a sequence (one per operand store);
     a corrupted operand index triggers :func:`index_reconstruct` on first
     read.  A corrupted memo entry reads as a miss and is recomputed, costing
-    one extra call per corrupted entry that is looked up again.  The result
+    one extra expansion per corrupted entry that is looked up again.  The result
     is built with raw appends: redundant nodes are kept and duplicate triples
     may appear, but every internal node keeps a child one level down, so the
     output is itself repairable.
@@ -93,30 +88,11 @@ def resilient_apply(op: BoolOp, f: Diagram, g: Diagram, overlays=None,
             index_reconstruct(diagram, overlay, u)
         return diagram.store.node(u).index
 
-    def rec(u: int, v: int) -> int:
-        if is_terminal(u) and is_terminal(v):
-            return op(u, v)
-        cached = memo.get((u, v))
-        if cached is not None:
-            return cached
-        lu = checked_level(f, u)
-        lv = checked_level(g, v)
-        i = min(lu, lv)
-        if lu == i:
-            nu = f.store.node(u)
-            u0, u1 = nu.lo, nu.hi
-        else:
-            u0 = u1 = u
-        if lv == i:
-            nv = g.store.node(v)
-            v0, v1 = nv.lo, nv.hi
-        else:
-            v0 = v1 = v
-        r = out.add_raw(i, rec(u0, v0), rec(u1, v1))
-        memo.put((u, v), r)
-        return r
+    def split(key):
+        return split_pair(f, g, key, checked_level(f, key[0]), checked_level(g, key[1]))
 
-    return Diagram(out, rec(f.root, g.root))
+    root = rebuild((f.root, g.root), partial(terminal_pair, op), split, out.add_raw, memo)
+    return Diagram(out, root)
 
 
 def reduction_procedure(d: Diagram, overlay: FaultOverlay | None = None) -> Diagram:

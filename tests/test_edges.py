@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import resilient_obdd as ro
 from resilient_obdd.faults import HI, LO
 
-from conftest import build_vector_example, random_reduced
+from conftest import build_vector_example, random_raw_diagram, random_reduced
 
 
 def labelled(names):
@@ -35,6 +35,34 @@ def test_vector_contents(vector_example):
     want_sizes = {"a": 10, "b": 8, "c": 5, "d": 4, "e": 3,
                   "f": 6, "g": 3, "h": 7, "T0": 1, "T1": 1}
     assert {k: v.subgraph[ids[k]] for k in want_sizes} == want_sizes
+
+
+def bfs_size(d, u) -> int:
+    """Reachable ids from u, terminals included, by a fresh search."""
+    reach, frontier = {u}, [u]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if not ro.is_terminal(v):
+                node = d.store.node(v)
+                for c in (node.lo, node.hi):
+                    if c not in reach:
+                        reach.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return len(reach)
+
+
+def test_subgraph_sizes_match_a_search_per_node():
+    rng = random.Random(808)
+    for trial in range(60):
+        n = rng.randint(1, 9)
+        if trial % 2 and n >= 2:
+            d = random_raw_diagram(rng, n)
+        else:
+            d = random_reduced(rng, n)
+        v = ro.build_node_vector(d)
+        assert v.subgraph == {u: bfs_size(d, u) for u in v.order}
 
 
 def test_child_bounds_hand_values(vector_example):

@@ -109,17 +109,6 @@ def test_memo_random_faults_bounded_by_injections():
     assert memo.corrupted_total > 0
 
 
-def test_memo_dense_backend_equivalent():
-    sparse = ro.MemoTable()
-    dense = ro.MemoTable(dense_shape=(50, 50))
-    for key, r in [((3, 4), 8), ((10, 2), 5), ((49, 49), 1)]:
-        sparse.put(key, r)
-        dense.put(key, r)
-        assert sparse.get(key) == dense.get(key) == r
-    dense.mark_corrupt((3, 4))
-    assert dense.get((3, 4)) is None
-
-
 def test_apply_with_faulty_memo_still_correct():
     rng = random.Random(31)
     for trial in range(20):
