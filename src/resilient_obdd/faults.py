@@ -39,9 +39,9 @@ COMPONENTS = (INDEX, LO, HI)
 class FaultOverlay:
     """Perfect-detection flags plus undo data for one store.
 
-    ``reconstruct_calls`` is a telemetry counter bumped by the index repair
-    routine in :mod:`resilient_obdd.resilient`; tests use it to check the
-    bound on recursive repairs.
+    ``reconstruct_calls`` is a telemetry counter bumped once per node the
+    index repair routine in :mod:`resilient_obdd.resilient` repairs; tests
+    use it to check the bound on repairs.
     """
 
     def __init__(self, store):

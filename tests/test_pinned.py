@@ -71,7 +71,7 @@ def faulty_operands(pla, j: int, g: int, rng: random.Random):
 
 
 def file_pins(pla) -> dict[str, str]:
-    digests: dict[str, hashlib._Hash] = {}
+    digests = {}
 
     def add(name: str, data: bytes):
         digests.setdefault(name, hashlib.sha256()).update(data)

@@ -106,11 +106,12 @@ def self_calls(source: str):
             if not isinstance(call, ast.Call):
                 continue
             callee = call.func
-            if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name) \
-                    and callee.value.id == "self":
+            if isinstance(callee, ast.Name):
+                name = callee.id
+            elif isinstance(callee, ast.Attribute) and getattr(callee.value, "id", None) == "self":
                 name = callee.attr
             else:
-                name = getattr(callee, "id", None)
+                continue
             if name == fn.name:
                 yield fn.name, call.lineno
 
