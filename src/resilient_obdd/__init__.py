@@ -36,6 +36,7 @@ from .core import (
     reduce_robdd,
     restrict,
     terminal,
+    truth_bits,
     truth_table,
 )
 from .ops import AND, IMPLIES, NAND, NOR, OPS, OR, XNOR, XOR, BoolOp, MemoTable, apply, equivalent

@@ -302,14 +302,26 @@ def terminal_leaf(u: int) -> int | None:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# Node truth tables cover at most this many of the bottom variables, so one
+# node costs at most 2^BLOCK_VARS bits (2 KiB); see truth_bits.
+BLOCK_VARS = 14
+
 
 def evaluate(d: Diagram, assignment) -> int:
-    """Follow the path selected by the assignment; returns 0 or 1."""
+    """Follow the path selected by the assignment; returns 0 or 1.
+
+    Raises :class:`ContractError` when the variable index along the path
+    does not strictly increase (an edge fault can point a node back up).
+    """
     if len(assignment) != d.n:
         raise ValueError(f"assignment has {len(assignment)} values, diagram has {d.n} variables")
     u = d.root
+    last = -1
     while not is_terminal(u):
         node = d.store.node(u)
+        if node.index <= last:
+            raise ContractError(f"node {u} at level {node.index} is below level {last} on its path")
+        last = node.index
         u = node.hi if assignment[node.index] else node.lo
     return u
 
@@ -319,9 +331,67 @@ def assignments(n: int):
     return itertools.product((0, 1), repeat=n)
 
 
+def variable_masks(n: int) -> list[int]:
+    """Per variable, the 2^n-bit int whose bit k is that variable's value on
+    assignment k (variable 0 is the most significant bit of k)."""
+    masks = []
+    for i in range(n):
+        run = 1 << (n - 1 - i)
+        mask, width = ((1 << run) - 1) << run, 2 * run
+        while width < 1 << n:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return masks
+
+
+def truth_bits(d: Diagram) -> int:
+    """The truth table as one int: bit k is the value on assignment k.
+
+    Each node on the bottom ``min(n, BLOCK_VARS)`` levels gets the table of
+    its function over those variables, bottom-up as ``lo & ~m | hi & m``
+    with ``m`` its variable's mask.  For each setting of the variables above,
+    the path from the root is followed down into that block and the
+    memoized table of the node it reaches fills that setting's slice.
+    Memory is the result's 2^n bits plus at most 2^BLOCK_VARS bits per node.
+    Raises :class:`ContractError` on an edge that does not point strictly
+    down, where :func:`evaluate` would raise on some assignment.
+    """
+    n, store = d.n, d.store
+    width = min(n, BLOCK_VARS)
+    top = n - width
+    masks = variable_masks(width)
+    full = (1 << (1 << width)) - 1
+
+    def leaf(u):
+        return (full if u == TERM1 else 0) if is_terminal(u) else None
+
+    def split(u):
+        node = store.node(u)
+        if min(store.level(node.lo), store.level(node.hi)) <= node.index:
+            raise ContractError(f"node {u} at level {node.index} has an edge that does not point down")
+        return masks[node.index - top], node.lo, node.hi
+
+    def join(mask, lo, hi):
+        return lo & ~mask | hi & mask
+
+    memo: dict[int, int] = {}
+    bits = 0
+    for prefix in range(1 << top):
+        u = d.root
+        last = -1
+        while not is_terminal(u) and (node := store.node(u)).index < top:
+            if node.index <= last:
+                raise ContractError(f"node {u} at level {node.index} is below level {last} on its path")
+            last = node.index
+            u = node.hi if prefix >> (top - 1 - node.index) & 1 else node.lo
+        bits |= rebuild(u, leaf, split, join, memo) << (prefix << width)
+    return bits
+
+
 def truth_table(d: Diagram) -> list[int]:
     """The 2^n function values, indexed with variable 0 as the top bit."""
-    return [evaluate(d, a) for a in assignments(d.n)]
+    return list(map(int, reversed(format(truth_bits(d), f"0{1 << d.n}b"))))
 
 
 # ---------------------------------------------------------------------------

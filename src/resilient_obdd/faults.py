@@ -84,14 +84,13 @@ def inject(d: Diagram, overlay: FaultOverlay, u: int, component: str, rng) -> No
     store = d.store
     node = store.node(u)
     old = getattr(node, component)
-    if component == INDEX:
-        choices = [i for i in range(store.n) if i != old]
-    else:
-        choices = [v for v in range(store.next_id()) if v != old]
-    if not choices:
+    count = store.n if component == INDEX else store.next_id()
+    if count < 2:
         raise ValueError("no wrong value of the right type exists")
+    # the draw rng.choice makes over range(count) without old
+    k = rng.randrange(count - 1)
     overlay._originals[(u, component)] = old
-    setattr(node, component, rng.choice(choices))
+    setattr(node, component, k + (k >= old))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import partial
 
 from .core import (
+    ContractError,
     Diagram,
     DiagramStore,
     Mode,
@@ -37,12 +38,19 @@ def build_qr(d: Diagram) -> Diagram:
 
     def leaf(key):
         u, i = key
-        return u if i == n else None
+        if i < n:
+            return None
+        if not is_terminal(u):
+            raise ContractError(f"node {u} is reached below the last level")
+        return u
 
     def split(key):
         # key (u, i): the function rooted at u, materialized from level i down
         u, i = key
-        if d.store.level(u) == i:
+        level = d.store.level(u)
+        if level < i:
+            raise ContractError(f"node {u} at level {level} is the child of a node above level {i}")
+        if level == i:
             node = d.store.node(u)
             return i, (node.lo, i + 1), (node.hi, i + 1)
         return i, (u, i + 1), (u, i + 1)  # the 1-side is a memo hit or a leaf

@@ -100,6 +100,14 @@ def random_raw_diagram(rng: random.Random, n: int, width: int = 4,
     return Diagram(store, root)
 
 
+def upward_edge_diagram() -> Diagram:
+    """A reduced 6-variable diagram whose root's 0-child has its 0-edge
+    pointed back at the root, as an edge fault can leave it."""
+    d = ro.from_cubes(6, ["1-0-1-", "01--10"])
+    d.store.node(d.store.node(d.root).lo).lo = d.root
+    return d
+
+
 def random_expression(rng: random.Random, n: int, leaves: int = 3):
     """A random binary-op tree over the variables, as (op-tree, truth table).
 

@@ -63,6 +63,22 @@ def test_inject_with_no_wrong_value_possible():
         ro.inject(d, ro.FaultOverlay(store), u, INDEX, random.Random(0))
 
 
+def test_inject_draws_what_a_choice_over_the_wrong_values_draws():
+    d = random_reduced(random.Random(6), 6)
+    internal = ro.dfs_preorder(d, include_terminals=False)
+    for seed in range(40):
+        rng, twin = random.Random(seed), random.Random(seed)
+        overlay = ro.FaultOverlay(d.store)
+        for u in internal[:5]:
+            for component in COMPONENTS:
+                old = getattr(d.store.node(u), component)
+                count = d.n if component == INDEX else d.store.next_id()
+                want = twin.choice([v for v in range(count) if v != old])
+                ro.inject(d, overlay, u, component, rng)
+                assert getattr(d.store.node(u), component) == want
+        overlay.restore()
+
+
 def test_repair_writes_and_clears(wide_range_example):
     d, _, names = wide_range_example
     overlay = ro.FaultOverlay(d.store)

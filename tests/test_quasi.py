@@ -2,11 +2,18 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import resilient_obdd as ro
 
-from conftest import parity_diagram, random_bits, random_raw_diagram, random_reduced
+from conftest import (
+    parity_diagram,
+    random_bits,
+    random_raw_diagram,
+    random_reduced,
+    upward_edge_diagram,
+)
 
 
 def every_edge_spans_one_level(d):
@@ -155,3 +162,8 @@ def test_merge_quadratic_keeps_redundant_nodes():
     node = merged.store.node(merged.root)
     assert node.lo == node.hi
     assert ro.count_nodes(merged) == 2
+
+
+def test_build_qr_refuses_an_edge_pointing_up():
+    with pytest.raises(ro.ContractError):
+        ro.build_qr(upward_edge_diagram())
