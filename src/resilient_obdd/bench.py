@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import core
 from .core import Diagram, count_nodes, from_cubes, matches_cube
 from .faults import INDEX, FaultOverlay, build_unique_table, inject, reconstruct_index_ut
-from .indexres import ir_reduce, is_index_resilient, is_ir_reduced
+from .indexres import _is_index_resilient, _is_ir_reduced, ir_reduce
 from .quasi import build_qr
 from .resilient import index_reconstruct
 
@@ -207,8 +207,9 @@ def verify_function(n: int, oracle, ro: Diagram, qr: Diagram, ir: Diagram,
     each failure naming the lowest assignment that differs.  Memory is a few
     2^n-bit ints plus at most 2^core.BLOCK_VARS bits (2 KiB) per node: a
     32k-node function at n = 20 verifies in about 4 s (2-vCPU host, under
-    tracemalloc) with a 71 MiB peak.  Kept independent of how the diagrams were built so
-    that deliberately broken diagrams can be fed in.
+    tracemalloc) with a 71 MiB peak.  The structural checks share one
+    preorder walk per diagram.  Kept independent of how the diagrams were
+    built so that deliberately broken diagrams can be fed in.
     """
     problems = []
     want = oracle.bits(n)
@@ -223,13 +224,15 @@ def verify_function(n: int, oracle, ro: Diagram, qr: Diagram, ir: Diagram,
     if tables["ir"] != tables["qr"]:
         problems.append(
             f"{label}: regimes disagree on {_first_difference(n, tables['ir'], tables['qr'])}")
-    if not is_index_resilient(ir):
+    ir_internal = core.dfs_preorder(ir, include_terminals=False)
+    if not _is_index_resilient(ir.store, ir_internal):
         problems.append(f"{label}/ir: not index-resilient")
-    if not is_ir_reduced(ir):
+    if not _is_ir_reduced(ir.store, ir_internal):
         problems.append(f"{label}/ir: removable chain or mergeable pair left")
-    if not is_index_resilient(qr):
+    qr_internal = core.dfs_preorder(qr, include_terminals=False)
+    if not _is_index_resilient(qr.store, qr_internal):
         problems.append(f"{label}/qr: not index-resilient")
-    counts = (count_nodes(ro), count_nodes(ir), count_nodes(qr))
+    counts = (count_nodes(ro), len(ir_internal), len(qr_internal))
     if not counts[0] <= counts[1] <= counts[2]:
         problems.append(f"{label}: size sandwich violated ro/ir/qr = {counts}")
     return problems

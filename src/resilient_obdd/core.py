@@ -116,6 +116,9 @@ class DiagramStore:
         structures.  The ordering property is still enforced.
         """
         self._check_ordering(index, lo, hi)
+        return self._append(index, lo, hi)
+
+    def _append(self, index: int, lo: int, hi: int) -> int:
         self._nodes.append(Node(index, lo, hi))
         return len(self._nodes) + _FIRST_ID - 1
 
@@ -187,17 +190,14 @@ class UniqueTable:
         """(level, bucket index) of the collision list the key (lo, hi) selects."""
         return index, self.bucket_index(lo, hi)
 
-    def find(self, store: DiagramStore, index: int, lo: int, hi: int) -> int | None:
-        """Key-equality lookup for hash-consing (walks one bucket)."""
-        for u in self._buckets.get(self._slot(index, lo, hi), ()):
-            node = store.node(u)
-            if node.lo == lo and node.hi == hi:
-                return u
-        return None
+    def _bucket(self, index: int, lo: int, hi: int) -> list[int]:
+        """The collision list the key (lo, hi) selects at this level, created
+        on first use."""
+        return self._buckets.setdefault(self._slot(index, lo, hi), [])
 
     def insert(self, store: DiagramStore, index: int, u: int):
         node = store.node(u)
-        self._buckets.setdefault(self._slot(index, node.lo, node.hi), []).append(u)
+        self._bucket(index, node.lo, node.hi).append(u)
 
     def remove(self, store: DiagramStore, index: int, u: int):
         node = store.node(u)
@@ -210,7 +210,12 @@ class UniqueTable:
         It deliberately compares ids, not keys: a probe with a wrong key can
         still find u if that key collides into u's bucket.
         """
-        return u in self._buckets.get(self._slot(index, lo, hi), ())
+        return self.bucket_holds(index, self.bucket_index(lo, hi), u)
+
+    def bucket_holds(self, index: int, bucket: int, u: int) -> bool:
+        """Identity probe by bucket index, for probing one key on several
+        levels with one hash."""
+        return u in self._buckets.get((index, bucket), ())
 
 
 def mk_node(store: DiagramStore, table: UniqueTable, index: int, lo: int, hi: int) -> int:
@@ -218,16 +223,20 @@ def mk_node(store: DiagramStore, table: UniqueTable, index: int, lo: int, hi: in
 
     In ROBDD mode a node with equal children is never built (the child is
     returned instead); in both modes an existing node with the same triple is
-    reused.
+    reused.  Each call checks the ordering once, hashes the key once and
+    walks the one bucket it selects, which a new node is appended to.
     """
     if store.mode is Mode.ROBDD and lo == hi:
         return lo
     store._check_ordering(index, lo, hi)
-    found = table.find(store, index, lo, hi)
-    if found is not None:
-        return found
-    u = store.add_raw(index, lo, hi)
-    table.insert(store, index, u)
+    bucket = table._bucket(index, lo, hi)
+    nodes = store._nodes
+    for u in bucket:
+        node = nodes[u - _FIRST_ID]
+        if node.lo == lo and node.hi == hi:
+            return u
+    u = store._append(index, lo, hi)
+    bucket.append(u)
     return u
 
 
@@ -438,8 +447,10 @@ def from_cubes(n: int, onset, dcset=(), dc_value: int = 0,
 
     Assignments matching only don't-care cubes take ``dc_value``.  The build
     expands the complete decision-tree semantics, hash-consed level by level,
-    with memoization on the surviving cube sets so shared subtrees are built
-    once.
+    with memoization on the level and the surviving ON and DC cube sets so
+    shared subtrees are built once.  A cube set is an int bitmask over cube
+    positions, and a branch clears the bits of the cubes it drops, from
+    masks made once per level.
     """
     onset = list(onset)
     dcset = list(dcset)
@@ -459,17 +470,27 @@ def from_cubes(n: int, onset, dcset=(), dc_value: int = 0,
             return TERM1
         return terminal(dc_value) if dc else TERM0
 
-    def split(key):
-        # a cube survives the branch x_i = b unless it requires x_i = not b
-        i, on, dc = key
-        return (i,
-                (i + 1, tuple(k for k in on if onset[k][i] != "1"),
-                 tuple(k for k in dc if dcset[k][i] != "1")),
-                (i + 1, tuple(k for k in on if onset[k][i] != "0"),
-                 tuple(k for k in dc if dcset[k][i] != "0")))
+    def keep_masks(cubes):
+        # per level, the cubes that survive x_i = 0 and x_i = 1: a cube
+        # survives the branch x_i = b unless it requires x_i = not b
+        every = (1 << len(cubes)) - 1
+        drop0, drop1 = [0] * n, [0] * n
+        for k, cube in enumerate(cubes):
+            for i, c in enumerate(cube):
+                if c == "1":
+                    drop0[i] |= 1 << k
+                elif c == "0":
+                    drop1[i] |= 1 << k
+        return ([every & ~m for m in drop0], [every & ~m for m in drop1], every)
 
-    root = rebuild((0, tuple(range(len(onset))), tuple(range(len(dcset)))),
-                   leaf, split, partial(mk_node, store, table), {})
+    on0, on1, on_all = keep_masks(onset)
+    dc0, dc1, dc_all = keep_masks(dcset)
+
+    def split(key):
+        i, on, dc = key
+        return i, (i + 1, on & on0[i], dc & dc0[i]), (i + 1, on & on1[i], dc & dc1[i])
+
+    root = rebuild((0, on_all, dc_all), leaf, split, partial(mk_node, store, table), {})
     return Diagram(store, root)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import BddError, Diagram, UniqueTable, dfs_preorder, is_terminal, rebuild
 from .faults import HI, LO, FaultOverlay, build_unique_table, inject
@@ -108,21 +109,23 @@ def candidate_set(v: NodeVector, u: int, bound: int) -> list[int]:
     return [c for c in v.order[: limit + 1] if v.level[c] > lu]
 
 
+def _matches(d: Diagram, table: UniqueTable, v: NodeVector, u: int, edge: int,
+             candidates: list[int]):
+    """The candidates whose probe finds u, lazily, in vector order."""
+    node = d.store.node(u)
+    level = v.level[u]
+    for c in candidates:
+        lo, hi = (c, node.hi) if edge == 0 else (node.lo, c)
+        if table.contains_id(level, lo, hi, u):
+            yield c
+
+
 def _matching_candidates(d: Diagram, table: UniqueTable, v: NodeVector,
                          u: int, edge: int):
     """All candidates whose probe finds u, plus probe statistics."""
-    node = d.store.node(u)
-    level = v.level[u]
     candidates = candidate_set(v, u, child_bound(v, d, u, edge))
-    matches: list[int] = []
-    probes_to_first = 0
-    for probed, c in enumerate(candidates, start=1):
-        lo, hi = (c, node.hi) if edge == 0 else (node.lo, c)
-        if table.contains_id(level, lo, hi, u):
-            if not matches:
-                probes_to_first = probed
-            matches.append(c)
-    return matches, candidates, probes_to_first
+    matches = list(_matches(d, table, v, u, edge, candidates))
+    return matches, candidates, candidates.index(matches[0]) + 1 if matches else 0
 
 
 def reconstruct_edge(d: Diagram, table: UniqueTable, v: NodeVector, u: int,
@@ -130,11 +133,13 @@ def reconstruct_edge(d: Diagram, table: UniqueTable, v: NodeVector, u: int,
     """Recover the corrupted 0- or 1-edge of node u.
 
     Fast mode returns the first candidate whose unique-table probe finds u,
-    which is wrong exactly when an earlier candidate's key collides into the
-    true key's bucket.  Strict mode raises :class:`AmbiguousEdgeError` when
-    more than one candidate matches and is therefore never wrong.
+    probing no further, and is wrong exactly when an earlier candidate's key
+    collides into the true key's bucket.  Strict mode probes every candidate
+    and raises :class:`AmbiguousEdgeError` when more than one matches, so it
+    is never wrong.
     """
-    matches, _, _ = _matching_candidates(d, table, v, u, edge)
+    found = _matches(d, table, v, u, edge, candidate_set(v, u, child_bound(v, d, u, edge)))
+    matches = list(found if strict else islice(found, 1))
     if not matches:
         raise EdgeRecoveryError(
             f"edge {edge} of node {u}: no candidate matches, "

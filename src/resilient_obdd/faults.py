@@ -155,14 +155,16 @@ def reconstruct_index_ut(d: Diagram, table: UniqueTable, u: int,
 
     Scans candidate levels from the deepest up, probing each subtable at the
     bucket selected by u's (healthy) child pair and walking the collision
-    list for u's own id.  Exact under a single index fault: u sits in exactly
+    list for u's own id.  The bucket does not depend on the level, so the key
+    is hashed once.  Exact under a single index fault: u sits in exactly
     one subtable.  Returns -1 only when no level matches, which cannot happen
     unless the single-fault precondition was violated.
     """
     r = node_range(d, u, overlay)
     node = d.store.node(u)
+    bucket = table.bucket_index(node.lo, node.hi)
     for level in range(r.upper, r.lower - 1, -1):
-        if table.contains_id(level, node.lo, node.hi, u):
+        if table.bucket_holds(level, bucket, u):
             return level
     return -1
 

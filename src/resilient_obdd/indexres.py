@@ -25,6 +25,9 @@ A *removable chain* is a maximal run of redundant nodes linked through
 0-children whose head has no blocking parent and whose later members have
 exactly one (the chain predecessor).  Removing a whole chain redirects every
 edge into it to the node the chain collapses to.
+
+Each public check has a private twin that takes the diagram's internal nodes
+in preorder, so that :func:`ir_reduce` and the verifier walk a diagram once.
 """
 
 from __future__ import annotations
@@ -53,9 +56,13 @@ def is_redundant(store: DiagramStore, u: int) -> bool:
 
 def find_mergeable_pair(d: Diagram):
     """Two distinct reachable nodes with identical triples, or None."""
+    return _find_mergeable_pair(d.store, dfs_preorder(d, include_terminals=False))
+
+
+def _find_mergeable_pair(store: DiagramStore, internal: list[int]):
     seen: dict[tuple[int, int, int], int] = {}
-    for u in dfs_preorder(d, include_terminals=False):
-        triple = d.store.node(u).triple()
+    for u in internal:
+        triple = store.node(u).triple()
         other = seen.get(triple)
         if other is not None:
             return (other, u)
@@ -69,9 +76,11 @@ def blocking_parent_counts(d: Diagram) -> dict[int, int]:
     Counts parents, not conditions: a parent satisfying both blocking
     properties still contributes one.
     """
-    store = d.store
+    return _blocking_parent_counts(d.store, dfs_preorder(d, include_terminals=False))
+
+
+def _blocking_parent_counts(store: DiagramStore, internal: list[int]) -> dict[int, int]:
     counts: dict[int, int] = {}
-    internal = dfs_preorder(d, include_terminals=False)
     for u in internal:
         if is_redundant(store, u):
             counts[u] = 0
@@ -110,18 +119,20 @@ class ChainPlan:
     collapse: dict[int, int] = field(default_factory=dict)  # removed id -> survivor
 
 
-def find_chains(d: Diagram, counts: dict[int, int] | None = None) -> ChainPlan:
+def find_chains(d: Diagram) -> ChainPlan:
     """Mark every removable chain, visiting levels breadth-first from the top.
 
     A chain starts at a redundant node with no blocking parent and follows
     0-children while they stay redundant with exactly one blocking parent.
     Chains never share nodes.
     """
-    store = d.store
-    if counts is None:
-        counts = blocking_parent_counts(d)
+    return _find_chains(d.store, dfs_preorder(d, include_terminals=False))
+
+
+def _find_chains(store: DiagramStore, internal: list[int]) -> ChainPlan:
+    counts = _blocking_parent_counts(store, internal)
     by_level: dict[int, list[int]] = {}
-    for u in dfs_preorder(d, include_terminals=False):
+    for u in internal:
         by_level.setdefault(store.level(u), []).append(u)
 
     plan = ChainPlan()
@@ -151,10 +162,11 @@ def ir_reduce(d: Diagram) -> Diagram:
     output may then contain mergeable nodes; the full fault-tolerant pipeline
     in :mod:`resilient_obdd.resilient` avoids that by re-padding first.
     """
-    pair = find_mergeable_pair(d)
+    internal = dfs_preorder(d, include_terminals=False)
+    pair = _find_mergeable_pair(d.store, internal)
     if pair is not None:
         raise ContractError(f"input has mergeable nodes {pair[0]} and {pair[1]}")
-    collapse = find_chains(d).collapse  # survivors are never themselves removed
+    collapse = _find_chains(d.store, internal).collapse  # survivors are never themselves removed
     out = DiagramStore(d.n, Mode.KEEP_REDUNDANT)
 
     def split(u):
@@ -167,10 +179,13 @@ def ir_reduce(d: Diagram) -> Diagram:
 
 def is_index_resilient(d: Diagram) -> bool:
     """No duplicate triples, and each internal node has a child one level down."""
-    if find_mergeable_pair(d) is not None:
+    return _is_index_resilient(d.store, dfs_preorder(d, include_terminals=False))
+
+
+def _is_index_resilient(store: DiagramStore, internal: list[int]) -> bool:
+    if _find_mergeable_pair(store, internal) is not None:
         return False
-    store = d.store
-    for u in dfs_preorder(d, include_terminals=False):
+    for u in internal:
         node = store.node(u)
         if min(store.level(node.lo), store.level(node.hi)) != node.index + 1:
             return False
@@ -179,7 +194,10 @@ def is_index_resilient(d: Diagram) -> bool:
 
 def is_ir_reduced(d: Diagram) -> bool:
     """Index-resilient with no removable chain left."""
-    if not is_index_resilient(d):
+    return _is_ir_reduced(d.store, dfs_preorder(d, include_terminals=False))
+
+
+def _is_ir_reduced(store: DiagramStore, internal: list[int]) -> bool:
+    if not _is_index_resilient(store, internal):
         return False
-    counts = blocking_parent_counts(d)
-    return all(count != 0 for count in counts.values())
+    return all(count != 0 for count in _blocking_parent_counts(store, internal).values())

@@ -1,12 +1,13 @@
 """Store, unique table, construction and the basic transforms."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import resilient_obdd as ro
-from resilient_obdd.core import Diagram, DiagramStore, Mode, assignments
+from resilient_obdd.core import Diagram, DiagramStore, Mode, assignments, rebuild
 
 from conftest import parity_diagram, random_bits
 
@@ -47,8 +48,33 @@ def test_ordering_violations_rejected():
         ro.mk_node(store, table, 1, x1, ro.TERM1)
     with pytest.raises(ro.OrderingError):
         ro.mk_node(store, table, 2, x1, ro.TERM0)
-    with pytest.raises(ro.OrderingError):
-        store.add_raw(3, ro.TERM0, ro.TERM1)
+    for index, lo, hi in ((3, ro.TERM0, ro.TERM1), (1, x1, ro.TERM1), (2, ro.TERM0, x1)):
+        with pytest.raises(ro.OrderingError):
+            store.add_raw(index, lo, hi)
+    assert len(store) == 1
+
+
+def test_consing_hashes_the_key_once(monkeypatch):
+    calls = []
+    original = ro.core.fnv1a_pair
+
+    def counted(lo, hi):
+        calls.append((lo, hi))
+        return original(lo, hi)
+
+    monkeypatch.setattr(ro.core, "fnv1a_pair", counted)
+    store, table = ro.new_consed_store(3)
+    x2 = ro.mk_node(store, table, 2, ro.TERM0, ro.TERM1)
+    assert calls == [(ro.TERM0, ro.TERM1)]
+    assert ro.mk_node(store, table, 2, ro.TERM0, ro.TERM1) == x2  # found, not built
+    assert calls == [(ro.TERM0, ro.TERM1)] * 2
+    ro.mk_node(store, table, 1, x2, ro.TERM1)
+    assert calls[2:] == [(x2, ro.TERM1)]
+    assert ro.mk_node(store, table, 1, x2, x2) == x2  # deletion rule: no key to hash
+    with pytest.raises(ro.OrderingError):  # refused before hashing
+        ro.mk_node(store, table, 2, x2, ro.TERM1)
+    assert len(calls) == 3
+    assert len(store) == 2
 
 
 def test_terminal_levels_and_accessors():
@@ -72,11 +98,13 @@ def test_unique_table_consistency_after_building():
     d = ro.from_truth_table(6, random_bits(rng, 6))
     table = d.store.table
     seen = set()
+    size = len(d.store)
     for u in d.store.ids():
         node = d.store.node(u)
-        assert table.find(d.store, node.index, node.lo, node.hi) == u
+        assert ro.mk_node(d.store, table, node.index, node.lo, node.hi) == u
         assert node.triple() not in seen  # no duplicate triples in robdd mode
         seen.add(node.triple())
+    assert len(d.store) == size  # consing a stored key found it
 
 
 def test_fnv1a_pair_is_deterministic_and_spreads():
@@ -129,6 +157,75 @@ def test_from_cubes_matches_cube_oracle():
                     else dc_value if any(ro.matches_cube(c, a) for c in dcset)
                     else 0)
             assert ro.evaluate(d, a) == want
+
+
+class RecordingMemo(dict):
+    """A memo that logs every lookup and store, in order."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(("get", key))
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        self.log.append(("set", key))
+        super().__setitem__(key, value)
+
+
+def from_cubes_with_tuple_sets(n, onset, dcset, dc_value, mode, log):
+    """``from_cubes`` as it was, carrying cube sets as tuples of positions."""
+    store, table = ro.new_consed_store(n, mode)
+
+    def leaf(key):
+        i, on, dc = key
+        if i < n:
+            return None
+        if on:
+            return ro.TERM1
+        return ro.terminal(dc_value) if dc else ro.TERM0
+
+    def split(key):
+        i, on, dc = key
+        return (i,
+                (i + 1, tuple(k for k in on if onset[k][i] != "1"),
+                 tuple(k for k in dc if dcset[k][i] != "1")),
+                (i + 1, tuple(k for k in on if onset[k][i] != "0"),
+                 tuple(k for k in dc if dcset[k][i] != "0")))
+
+    root = rebuild((0, tuple(range(len(onset))), tuple(range(len(dcset)))),
+                   leaf, split, partial(ro.mk_node, store, table), RecordingMemo(log))
+    return Diagram(store, root)
+
+
+def test_from_cubes_bitmasks_match_tuple_sets(monkeypatch):
+    log: list = []
+    monkeypatch.setattr(ro.core, "rebuild", lambda root, leaf, split, join, memo:
+                        rebuild(root, leaf, split, join, RecordingMemo(log)))
+    rng = random.Random(41)
+
+    def cubes(n, count):
+        return ["".join(rng.choice("01---") for _ in range(n)) for _ in range(count)]
+
+    def positions(mask, size):
+        return tuple(k for k in range(size) if mask >> k & 1)
+
+    for n in range(1, 13):
+        for _ in range(4):
+            onset, dcset = cubes(n, rng.randrange(9)), cubes(n, rng.randrange(4))
+            for dc_value in (0, 1):
+                for mode in Mode:
+                    log.clear()
+                    got = ro.from_cubes(n, onset, dcset, dc_value, mode)
+                    got_keys = [(op, (i, positions(on, len(onset)), positions(dc, len(dcset))))
+                                for op, (i, on, dc) in log]
+                    want_keys: list = []
+                    want = from_cubes_with_tuple_sets(n, onset, dcset, dc_value, mode, want_keys)
+                    assert got_keys == want_keys
+                    assert (got.root, [got.store.node(u).triple() for u in got.store.ids()]) \
+                        == (want.root, [want.store.node(u).triple() for u in want.store.ids()])
 
 
 def test_from_cubes_validates_input():

@@ -203,6 +203,35 @@ def test_strict_mode_never_wrong_across_table_sizes():
             overlay.restore()
 
 
+def test_fast_mode_answers_strict_modes_first_match_and_stops_there():
+    rng = random.Random(59)
+    for k in range(12):
+        n = rng.randrange(3, 9)
+        d = random_reduced(rng, n) if k % 2 else random_raw_diagram(rng, n)
+        v = ro.build_node_vector(d)
+        internal = [u for u in v.order if not ro.is_terminal(u)]
+        for bucket_count in (1, 8, 256):
+            table = ro.build_unique_table(d, bucket_count)
+            probes = []
+            contains_id = table.contains_id
+            table.contains_id = lambda *key: probes.append(key) or contains_id(*key)
+            for u in internal:
+                for edge, component in ((0, LO), (1, HI)):
+                    overlay = ro.FaultOverlay(d.store)
+                    ro.inject(d, overlay, u, component, rng)
+                    probes.clear()
+                    fast = ro.reconstruct_edge(d, table, v, u, edge)
+                    fast_probes = len(probes)
+                    try:
+                        first = ro.reconstruct_edge(d, table, v, u, edge, strict=True)
+                    except ro.AmbiguousEdgeError as exc:
+                        first = exc.candidates[0]
+                    overlay.restore()
+                    candidates = ro.candidate_set(v, u, ro.child_bound(v, d, u, edge))
+                    assert fast == first, (k, bucket_count, u, edge)
+                    assert fast_probes == candidates.index(fast) + 1
+
+
 # ---------------------------------------------------------------------------
 # campaign
 

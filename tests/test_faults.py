@@ -174,6 +174,36 @@ def test_reconstruct_index_random_reduced_diagrams():
         overlay.restore()
 
 
+def reconstruct_index_hashing_per_level(d, table, u, overlay):
+    """``reconstruct_index_ut`` as it was, hashing the key for every level."""
+    r = ro.node_range(d, u, overlay)
+    node = d.store.node(u)
+    for level in range(r.upper, r.lower - 1, -1):
+        if table.contains_id(level, node.lo, node.hi, u):
+            return level
+    return -1
+
+
+def test_reconstruct_index_hashing_once_matches_hashing_per_level():
+    rng = random.Random(53)
+    for k in range(12):
+        n = rng.randrange(3, 9)
+        d = random_reduced(rng, n) if k % 2 else random_raw_diagram(rng, n)
+        for bucket_count in (1, 8, 256):
+            table = ro.build_unique_table(d, bucket_count)
+            for u in ro.dfs_preorder(d, include_terminals=False):
+                true_index = d.store.node(u).index
+                for stored in range(d.n):  # every wrong value, and no fault
+                    overlay = ro.FaultOverlay(d.store)
+                    if stored != true_index:
+                        overlay._originals[(u, INDEX)] = true_index
+                        d.store.node(u).index = stored
+                    got = ro.reconstruct_index_ut(d, table, u, overlay)
+                    want = reconstruct_index_hashing_per_level(d, table, u, overlay)
+                    overlay.restore()
+                    assert got == want, (k, bucket_count, u, stored)
+
+
 def test_build_unique_table_probes_like_the_original(wide_range_example):
     d, original, names = wide_range_example
     rebuilt = ro.build_unique_table(d, bucket_count=64)
